@@ -133,7 +133,7 @@ void BM_PenaltyWeights(benchmark::State& state) {
         data, target, counts, 1000.0, PenaltyWeightOptions(), &rng));
   }
 }
-BENCHMARK(BM_PenaltyWeights)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_PenaltyWeights)->Arg(200)->Arg(1024)->Arg(4096)->Arg(8192);
 
 void BM_PairRecall(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

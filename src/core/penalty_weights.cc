@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "simd/soa_block.h"
 #include "svm/kernel.h"
 
 namespace dbsvec {
@@ -16,28 +18,43 @@ std::vector<double> ComputePenaltyWeights(
   if (n == 0) {
     return weights;
   }
-  const GaussianKernel kernel(sigma);
+  const double inv_two_sigma_sq = GaussianKernel(sigma).inv_two_sigma_sq();
 
-  // Anchor set for the kernel-mean estimate: the full target set when it is
-  // small, otherwise a uniform sample without concern for duplicates (the
-  // estimate is a mean).
-  std::vector<PointIndex> anchors;
+  // Anchor set for the kernel-mean estimate, as positions in `target`: the
+  // full target set when it is small, otherwise a uniform sample without
+  // concern for duplicates (the estimate is a mean).
+  std::vector<int> anchors;
   if (n <= options.anchor_count) {
-    anchors.assign(target.begin(), target.end());
+    anchors.resize(n);
+    std::iota(anchors.begin(), anchors.end(), 0);
   } else {
     anchors.reserve(options.anchor_count);
     for (int s = 0; s < options.anchor_count; ++s) {
-      anchors.push_back(target[rng->NextBounded(n)]);
+      anchors.push_back(static_cast<int>(rng->NextBounded(n)));
     }
   }
   const double m = static_cast<double>(anchors.size());
 
-  // Mean kernel value over anchor pairs: (1/m²)·ΣΣ K — the constant first
-  // term of Eq. 5.
+  // Anchor-major: one kernel row K(x_a, ·) over the whole target per
+  // anchor. The distances are batched over the SoA view; the exp stays
+  // scalar libm, exactly GaussianKernel::FromSquaredDistance. Each
+  // per-point sum accumulates in anchor order, so the weights do not
+  // depend on the SIMD backend (docs/PERFORMANCE.md, determinism policy).
+  //   sums[i] = Σ_a K(x_a, x_i)
+  //   mean_kk = (1/m²)·Σ_a Σ_b K(x_a, x_b) — the constant first term of
+  //             Eq. 5, read off the same rows in a-then-b order.
+  const simd::SoaBlockView view(dataset, target);
+  std::vector<double> sums(n, 0.0);
+  std::vector<double> row(n);
   double mean_kk = 0.0;
-  for (const PointIndex a : anchors) {
-    for (const PointIndex b : anchors) {
-      mean_kk += kernel.FromSquaredDistance(dataset.SquaredDistance(a, b));
+  for (const int a : anchors) {
+    view.SquaredDistances(dataset.point(target[a]), 0, n, row.data());
+    for (int i = 0; i < n; ++i) {
+      row[i] = std::exp(-row[i] * inv_two_sigma_sq);
+      sums[i] += row[i];
+    }
+    for (const int b : anchors) {
+      mean_kk += row[b];
     }
   }
   mean_kk /= m * m;
@@ -47,12 +64,7 @@ std::vector<double> ComputePenaltyWeights(
   std::vector<double> kd(n);
   double max_kd = 0.0;
   for (int i = 0; i < n; ++i) {
-    const auto x = dataset.point(target[i]);
-    double s = 0.0;
-    for (const PointIndex a : anchors) {
-      s += kernel.FromSquaredDistance(dataset.SquaredDistanceTo(a, x));
-    }
-    kd[i] = mean_kk + 1.0 - 2.0 * s / m;
+    kd[i] = mean_kk + 1.0 - 2.0 * sums[i] / m;
     max_kd = std::max(max_kd, kd[i]);
   }
   if (max_kd <= 0.0) {

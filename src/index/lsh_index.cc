@@ -1,5 +1,6 @@
 #include "index/lsh_index.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -27,7 +28,6 @@ LshIndex::LshIndex(const Dataset& dataset, double epsilon_hint,
       table.buckets[HashKey(table, dataset.point(i))].push_back(i);
     }
   }
-  visit_mark_.assign(dataset.size(), 0);
 }
 
 std::vector<int32_t> LshIndex::HashKey(const Table& table,
@@ -48,22 +48,25 @@ void LshIndex::RangeQuery(std::span<const double> query, double epsilon,
                           std::vector<PointIndex>* out) const {
   out->clear();
   CountRangeQuery();
-  const double eps_sq = epsilon * epsilon;
-  ++visit_epoch_;
+  // Gather the query's colliding bucket entries from every table, then
+  // dedupe them (a point may collide in several tables). The candidate list
+  // is per call, so concurrent queries share no mutable state.
+  std::vector<PointIndex> candidates;
   for (const Table& table : tables_) {
     const auto it = table.buckets.find(HashKey(table, query));
-    if (it == table.buckets.end()) {
-      continue;
+    if (it != table.buckets.end()) {
+      candidates.insert(candidates.end(), it->second.begin(),
+                        it->second.end());
     }
-    for (const PointIndex i : it->second) {
-      if (visit_mark_[i] == visit_epoch_) {
-        continue;  // Already considered via an earlier table.
-      }
-      visit_mark_[i] = visit_epoch_;
-      CountDistanceComputations(1);
-      if (dataset_.SquaredDistanceTo(i, query) <= eps_sq) {
-        out->push_back(i);
-      }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  CountDistanceComputations(candidates.size());
+  const double eps_sq = epsilon * epsilon;
+  for (const PointIndex i : candidates) {
+    if (dataset_.SquaredDistanceTo(i, query) <= eps_sq) {
+      out->push_back(i);
     }
   }
 }

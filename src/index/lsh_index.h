@@ -69,9 +69,6 @@ class LshIndex final : public NeighborIndex {
 
   double bucket_width_;
   std::vector<Table> tables_;
-  // Scratch for candidate de-duplication across tables.
-  mutable std::vector<uint32_t> visit_mark_;
-  mutable uint32_t visit_epoch_ = 0;
 };
 
 }  // namespace dbsvec

@@ -32,11 +32,11 @@ enum class IndexType {
 /// queries served, number of point-to-point distance evaluations) that the
 /// complexity benchmarks (Table II) read back.
 ///
-/// Thread safety: the static engines (brute-force, kd-tree, R*-tree, grid)
-/// answer concurrent `RangeQuery`/`RangeCount` calls safely — traversal
-/// state lives on the stack and the counters are atomic. LshIndex keeps
-/// mutable per-query scratch and DynamicRStarTree supports insertion, so
-/// neither may be queried concurrently.
+/// Thread safety: the static engines (brute-force, kd-tree, R*-tree, grid,
+/// LSH) answer concurrent `RangeQuery`/`RangeCount` calls safely —
+/// per-query state lives on the stack and the counters are atomic.
+/// DynamicRStarTree supports insertion, so it may not be queried
+/// concurrently.
 class NeighborIndex {
  public:
   /// A pair of instrumentation counters matching the index's own.

@@ -1818,8 +1818,13 @@ void Server::Shutdown(const Deadline& drain) {
           pending_responses_.load(std::memory_order_relaxed) > 0)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Phase 3: tear down loops, workers, and the durability timer.
-  stopping_.store(true, std::memory_order_release);
+  // Phase 3: tear down loops, workers, and the durability timer. The flag
+  // is stored under both condition-variable mutexes: a waiter that has
+  // just checked the predicate then cannot miss the notify.
+  {
+    std::scoped_lock lock(queue_mutex_, durability_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   durability_cv_.notify_all();
   for (auto& loop : loops_) {

@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -328,17 +329,27 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(301, 302, 303)));
 
 // Ablation variants must all stay valid and close to DBSCAN on easy data.
+constexpr const char* kAblationNames[] = {"full", "no_weights",
+                                          "no_incremental", "random_sigma",
+                                          "bare"};
+
+// Plain integers with no padding: gtest prints this parameter as its raw
+// bytes, and ctest discovery puts those bytes into the test name, so a name
+// pointer (whose address changes with every load) would rename the test on
+// each build.
 struct AblationSpec {
-  const char* name;
-  bool adaptive_weights;
-  bool incremental_learning;
-  bool auto_sigma;
+  int32_t variant;  // index into kAblationNames
+  int32_t adaptive_weights;
+  int32_t incremental_learning;
+  int32_t auto_sigma;
 };
+static_assert(sizeof(AblationSpec) == 16, "AblationSpec must not be padded");
 
 class DbsvecAblationTest : public ::testing::TestWithParam<AblationSpec> {};
 
 TEST_P(DbsvecAblationTest, VariantProducesValidClustering) {
   const AblationSpec& spec = GetParam();
+  const char* name = kAblationNames[spec.variant];
   const Dataset dataset = BlobScene(800, 3, 3, 0.03, 211);
   const int min_pts = 5;
   const double epsilon = SuggestEpsilon(dataset, min_pts);
@@ -352,25 +363,25 @@ TEST_P(DbsvecAblationTest, VariantProducesValidClustering) {
   DbsvecParams params;
   params.epsilon = epsilon;
   params.min_pts = min_pts;
-  params.adaptive_weights = spec.adaptive_weights;
-  params.incremental_learning = spec.incremental_learning;
-  params.auto_sigma = spec.auto_sigma;
+  params.adaptive_weights = spec.adaptive_weights != 0;
+  params.incremental_learning = spec.incremental_learning != 0;
+  params.auto_sigma = spec.auto_sigma != 0;
   Clustering out;
   ASSERT_TRUE(RunDbsvec(dataset, params, &out).ok());
   EXPECT_EQ(static_cast<PointIndex>(out.labels.size()), dataset.size());
-  EXPECT_GE(PairRecall(reference.labels, out.labels), 0.8) << spec.name;
-  EXPECT_GE(PairPrecision(reference.labels, out.labels), 0.999) << spec.name;
+  EXPECT_GE(PairRecall(reference.labels, out.labels), 0.8) << name;
+  EXPECT_GE(PairPrecision(reference.labels, out.labels), 0.999) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, DbsvecAblationTest,
-    ::testing::Values(AblationSpec{"full", true, true, true},
-                      AblationSpec{"no_weights", false, true, true},
-                      AblationSpec{"no_incremental", true, false, true},
-                      AblationSpec{"random_sigma", true, true, false},
-                      AblationSpec{"bare", false, false, false}),
+    ::testing::Values(AblationSpec{0, 1, 1, 1},   // full
+                      AblationSpec{1, 0, 1, 1},   // no_weights
+                      AblationSpec{2, 1, 0, 1},   // no_incremental
+                      AblationSpec{3, 1, 1, 0},   // random_sigma
+                      AblationSpec{4, 0, 0, 0}),  // bare
     [](const ::testing::TestParamInfo<AblationSpec>& info) {
-      return info.param.name;
+      return kAblationNames[info.param.variant];
     });
 
 TEST(DbsvecTest, MinimumNuUsesFewerSupportVectors) {
