@@ -141,11 +141,6 @@ std::string HelpText() {
       "  --seed=N                RNG seed (default 7)\n"
       "  --threads=N             worker threads: 0 = all cores (default),\n"
       "                          1 = sequential; results are identical\n"
-      "  --cache-mb=M            process-wide cache budget in MiB shared by\n"
-      "                          kernel rows, cross-solve SVDD rows, and the\n"
-      "                          serving query cache (docs/CACHING.md);\n"
-      "                          0 = disabled (default; DBSVEC_CACHE_MB env\n"
-      "                          applies when the flag is omitted)\n"
       "  --shards=P              partition the dataset into P NUMA-homed\n"
       "                          shards with per-shard indexes (dbsvec,\n"
       "                          dbscan, assign, serve); 0 = unsharded\n"
@@ -314,14 +309,6 @@ Status ParseCliOptions(const std::vector<std::string>& args,
             "--sample-threshold must be a non-negative integer");
       }
       options->sample_threshold = static_cast<int>(parsed);
-    } else if (key == "cache-mb") {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || parsed < 0) {
-        return Status::InvalidArgument(
-            "--cache-mb must be a non-negative integer");
-      }
-      options->cache_mb = static_cast<int64_t>(parsed);
     } else if (key == "compare-dbscan") {
       options->compare_dbscan = value != "0" && value != "false";
     } else if (key == "model-out") {

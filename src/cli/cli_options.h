@@ -66,10 +66,6 @@ struct CliOptions {
   int shards = 0;   ///< >= 1: sharded execution engine; 0 = unsharded.
   int sv_budget = 0;         ///< > 0: support-vector budget per solve.
   int sample_threshold = 0;  ///< > 0: boundary-preserving target sampling.
-  /// Process-wide cache budget (docs/CACHING.md), in MiB. 0 disables the
-  /// cache manager (legacy per-solve caching); -1 (unset) defers to the
-  /// DBSVEC_CACHE_MB environment variable.
-  int64_t cache_mb = -1;
 
   bool compare_dbscan = false;  ///< Also run exact DBSCAN, report recall.
   bool show_help = false;

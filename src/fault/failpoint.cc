@@ -14,12 +14,11 @@ namespace {
 /// Every failpoint site in the library, in pipeline order. A site name has
 /// the form "<layer>.<operation>"; adding a site means adding it here and
 /// placing the matching check in the instrumented code.
-constexpr std::array<std::string_view, 19> kSites = {
+constexpr std::array<std::string_view, 18> kSites = {
     "csv.read",                  // Dataset ingest from CSV.
     "index.build",               // Range-query index construction.
     "exec.shard_merge",          // Sharded batch deterministic merge.
     "kernel_cache.materialize",  // Kernel row materialization.
-    "cache.reserve",             // CacheManager budget reservation.
     "smo.solve",                 // The SMO quadratic-program solve.
     "svdd.train",                // SVDD training entry.
     "svdd.budget_merge",         // Budgeted-SMO SV merge/forget step.

@@ -4,7 +4,6 @@
 #include <limits>
 #include <mutex>
 
-#include "cache/cache_manager.h"
 #include "cluster/clustering.h"
 #include "common/thread_pool.h"
 #include "exec/sharded_index.h"
@@ -70,11 +69,6 @@ Status AssignmentEngine::BuildIndex(const Deadline& deadline) {
     DBSVEC_RETURN_IF_ERROR(CreateIndexChecked(
         options_.index, model_.core_points, model_.epsilon, deadline,
         &index_));
-  }
-  if (cache::CacheManager::Global().enabled()) {
-    query_cache_ = std::make_unique<cache::QueryCellCache>(
-        index_.get(), model_.epsilon, model_.dim,
-        cache::CacheManager::Global().Register("assign_query"));
   }
   return Status::Ok();
 }
@@ -178,29 +172,8 @@ int32_t AssignmentEngine::AssignTransformed(std::span<const double> query,
     }
     if (!prefilter_rejected) {
       range_queries_.fetch_add(1, std::memory_order_relaxed);
-      if (query_cache_ != nullptr) {
-        // Cached candidate superset of this query's cell, re-filtered
-        // with exact squared distances against the same inclusive ε
-        // comparison the index's leaf scans use — the surviving
-        // (id, dist) pairs are exactly what RangeQueryWithDistances
-        // returns, so the label below is bit-identical to the uncached
-        // path.
-        query_cache_->Candidates(query, &scratch->candidates);
-        scratch->ids.clear();
-        scratch->dist_sq.clear();
-        const double eps_sq = model_.epsilon * model_.epsilon;
-        for (const PointIndex id : scratch->candidates) {
-          const double d2 =
-              model_.core_points.SquaredDistanceTo(id, query);
-          if (d2 <= eps_sq) {
-            scratch->ids.push_back(id);
-            scratch->dist_sq.push_back(d2);
-          }
-        }
-      } else {
-        index_->RangeQueryWithDistances(query, model_.epsilon,
-                                        &scratch->ids, &scratch->dist_sq);
-      }
+      index_->RangeQueryWithDistances(query, model_.epsilon, &scratch->ids,
+                                      &scratch->dist_sq);
       // Nearest core point wins; ties break toward the smaller cluster id
       // so the answer is independent of the index's result order. The
       // distances come straight from the index's batched leaf scans
@@ -341,12 +314,6 @@ Status AssignmentEngine::AbsorbCoreAdjacent(const Dataset& points,
   }
   overlay_size_.store(absorbed_points_.size(), std::memory_order_release);
   lock.unlock();
-  if (added > 0 && query_cache_ != nullptr) {
-    // The cached candidate sets cover only the static index (the overlay
-    // is merged separately after them), so this clear is belt-and-
-    // suspenders: refresh must never leave a stale cache behind.
-    query_cache_->Clear();
-  }
   cores_absorbed_.fetch_add(added, std::memory_order_relaxed);
   if (absorbed != nullptr) {
     *absorbed = added;

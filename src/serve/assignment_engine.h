@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/query_cell_cache.h"
 #include "common/dataset.h"
 #include "common/deadline.h"
 #include "common/status.h"
@@ -169,7 +168,6 @@ class AssignmentEngine {
   struct QueryScratch {
     std::vector<PointIndex> ids;
     std::vector<double> dist_sq;
-    std::vector<PointIndex> candidates;  ///< Query-cache superset buffer.
   };
 
   /// Assignment of one already-transformed query point.
@@ -190,14 +188,10 @@ class AssignmentEngine {
   const AssignmentOptions options_;
   uint32_t model_crc_ = 0;
   int shard_count_ = 0;  // Actual shard count of index_ (0 = unsharded).
-  std::unique_ptr<NeighborIndex> index_;  // Over model_.core_points.
-  // Hot assign-path range-query cache over index_, present only when the
-  // process-wide CacheManager is enabled. Per-engine, so a /v1/reload
-  // invalidates it wholesale through the RCU EngineHandle swap; a
-  // successful online-refresh absorption clears it explicitly. Candidate
-  // supersets are re-filtered with exact distances, so cached answers are
-  // bit-identical to the uncached path.
-  std::unique_ptr<cache::QueryCellCache> query_cache_;
+  // Over model_.core_points. Every query the prefilter passes is answered
+  // by RangeQueryWithDistances on this index; nothing caches its results,
+  // so assignments rely only on the NeighborIndex concurrency contract.
+  std::unique_ptr<NeighborIndex> index_;
   // Sub-cluster sphere radii inflated by ε, squared, parallel to
   // model_.spheres (precomputed for the prefilter).
   std::vector<double> sphere_reach_sq_;

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "cache/cache_manager.h"
 #include "fault/failpoint.h"
 #include "registry/model_name.h"
 #include "server/payload.h"
@@ -214,6 +213,18 @@ struct Server::Connection {
 };
 
 struct Server::IoLoop {
+  // Both fds outlive the loop thread: workers and Shutdown may still
+  // WakeLoop a loop that has already left IoLoopMain, so they are closed
+  // only when the IoLoop is destroyed, after every thread is joined.
+  ~IoLoop() {
+    if (event_fd >= 0) {
+      ::close(event_fd);
+    }
+    if (epoll_fd >= 0) {
+      ::close(epoll_fd);
+    }
+  }
+
   int epoll_fd = -1;
   int event_fd = -1;
   bool has_listener = false;
@@ -466,8 +477,6 @@ void Server::IoLoopMain(IoLoop* loop) {
   if (loop->has_listener && listen_fd_ >= 0) {
     ::close(listen_fd_);
   }
-  ::close(loop->event_fd);
-  ::close(loop->epoll_fd);
 }
 
 void Server::AcceptReady(IoLoop* loop) {
@@ -1538,8 +1547,7 @@ std::string Server::HandleStatz() {
       inflight_.load(std::memory_order_relaxed), options_.max_inflight,
       simd::BackendName(simd::ActiveBackend()),
       engine != nullptr ? engine->shard_count() : 0,
-      cache::CacheManager::Global().StatsJson(), durability, failpoints,
-      ModelsJson());
+      durability, failpoints, ModelsJson());
 }
 
 std::string Server::HandleReload(

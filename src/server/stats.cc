@@ -43,7 +43,6 @@ std::string ServerStats::ToJson(uint32_t model_version, uint32_t model_crc,
                                 uint64_t engine_range_queries, int inflight,
                                 int max_inflight, const char* simd_backend,
                                 int shard_count,
-                                const std::string& cache_manager_json,
                                 const std::string& durability_json,
                                 const std::string& failpoints_json,
                                 const std::string& models_json) const {
@@ -97,9 +96,6 @@ std::string ServerStats::ToJson(uint32_t model_version, uint32_t model_crc,
          std::to_string(assign_latency.PercentileMicros(50.0)) + ",";
   out += "\"assign_latency_p99_us\":" +
          std::to_string(assign_latency.PercentileMicros(99.0));
-  if (!cache_manager_json.empty()) {
-    out += ",\"cache_manager\":" + cache_manager_json;
-  }
   if (!durability_json.empty()) {
     out += ",\"durability\":" + durability_json;
   }

@@ -57,11 +57,10 @@ struct ServerStats {
   /// are the bounded-cost SVDD provenance recorded in the model file; 0 =
   /// exact training), and the execution config of the serving engine:
   /// `simd_backend` (active SIMD dispatch backend name) and `shard_count`
-  /// (0 = unsharded). `cache_manager_json` (a pre-rendered JSON object,
-  /// typically CacheManager::StatsJson) is spliced in as the
-  /// `cache_manager` field when non-empty; `durability_json` (journal +
-  /// recovery state of a durable server) and `failpoints_json` (per-site
-  /// injected-fault hit counters) likewise as `durability` / `failpoints`;
+  /// (0 = unsharded). `durability_json` (a pre-rendered JSON object with
+  /// the journal + recovery state of a durable server) is spliced in as
+  /// the `durability` field when non-empty, `failpoints_json` (per-site
+  /// injected-fault hit counters) likewise as `failpoints`, and
   /// `models_json` (the per-model registry breakdown) as `models`.
   std::string ToJson(uint32_t model_version, uint32_t model_crc,
                      int model_sv_budget, int model_sample_threshold,
@@ -70,7 +69,6 @@ struct ServerStats {
                      uint64_t engine_range_queries, int inflight,
                      int max_inflight, const char* simd_backend,
                      int shard_count,
-                     const std::string& cache_manager_json = "",
                      const std::string& durability_json = "",
                      const std::string& failpoints_json = "",
                      const std::string& models_json = "") const;

@@ -33,20 +33,6 @@ KernelCache::KernelCache(const Dataset& dataset,
       std::max<size_t>(1, target_.size()) * sizeof(float) +
       kRowOverheadBytes;
   max_rows_ = std::max<size_t>(2, max_bytes / row_footprint_bytes_);
-  cache::CacheManager& manager = cache::CacheManager::Global();
-  if (manager.enabled()) {
-    budget_ = manager.Register("kernel_rows");
-    shared_rows_ = &cache::SharedRowCache::Global();
-    signature_token_ = shared_rows_->InternSignature(
-        cache::MakeTargetSignature(dataset_, target_, sigma));
-  }
-}
-
-KernelCache::~KernelCache() {
-  if (budget_ != nullptr) {
-    budget_->Release(rows_.size() * row_footprint_bytes_);
-    budget_->AddEntries(-static_cast<int64_t>(rows_.size()));
-  }
 }
 
 void KernelCache::RecordStatus(Status status) const {
@@ -61,7 +47,7 @@ Status KernelCache::status() const {
   return status_;
 }
 
-bool KernelCache::ComputeRow(int i, std::vector<float>* row) const {
+void KernelCache::ComputeRow(int i, std::vector<float>* row) const {
   const size_t n = static_cast<size_t>(size());
   row->resize(n);
   if (Status injected = FailpointCheck("kernel_cache.materialize");
@@ -69,7 +55,7 @@ bool KernelCache::ComputeRow(int i, std::vector<float>* row) const {
     // The row buffer stays zeroed; the sticky status tells the solver to
     // abandon the solve before any such row can influence the result.
     RecordStatus(std::move(injected));
-    return false;
+    return;
   }
   const auto xi = dataset_.point(target_[i]);
   const double inv_two_sigma_sq = kernel_.inv_two_sigma_sq();
@@ -77,88 +63,29 @@ bool KernelCache::ComputeRow(int i, std::vector<float>* row) const {
   ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
     target_view_.RbfRow(xi, inv_two_sigma_sq, begin, end, out + begin);
   });
-  return true;
 }
 
-void KernelCache::FillRow(int i, std::vector<float>* row) {
-  if (shared_rows_ != nullptr) {
-    if (const auto cached = shared_rows_->Lookup(signature_token_, i);
-        cached != nullptr) {
-      // A shared row is the bit-identical result of the same computation
-      // from an earlier (or concurrent) solve over this exact target set.
-      row->assign(cached->begin(), cached->end());
-      return;
-    }
-    if (ComputeRow(i, row)) {
-      shared_rows_->Insert(
-          signature_token_, i,
-          std::make_shared<const std::vector<float>>(*row));
-    }
-    return;
-  }
-  ComputeRow(i, row);
-}
-
-void KernelCache::EvictTail() {
-  const int victim = lru_.back();
-  lru_.pop_back();
-  rows_.erase(victim);
-  if (budget_ != nullptr) {
-    budget_->Release(row_footprint_bytes_);
-    budget_->AddEntries(-1);
-    budget_->RecordEviction();
-  }
-}
-
-bool KernelCache::InsertRow(int i, std::vector<float>&& row) {
+void KernelCache::InsertRow(int i, std::vector<float>&& row) {
   while (rows_.size() >= max_rows_) {
-    EvictTail();
-  }
-  if (budget_ != nullptr) {
-    // A rebalance may have shrunk the kernel_rows share below what this
-    // and other solves hold; converge from our side before growing.
-    while (budget_->over_limit() && !lru_.empty()) {
-      EvictTail();
-    }
-    while (!budget_->Reserve(row_footprint_bytes_)) {
-      if (lru_.empty()) {
-        return false;  // Budget refuses even a lone row: serve uncached.
-      }
-      EvictTail();
-    }
-    budget_->AddEntries(1);
+    rows_.erase(lru_.back());
+    lru_.pop_back();
   }
   lru_.push_front(i);
   Entry& entry = rows_[i];
   entry.lru_pos = lru_.begin();
   entry.row = std::move(row);
-  return true;
 }
 
 std::span<const float> KernelCache::Row(int i) {
   auto it = rows_.find(i);
   if (it != rows_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    if (budget_ != nullptr) {
-      budget_->RecordAccess(true);
-    }
     return it->second.row;
   }
-  if (budget_ != nullptr) {
-    budget_->RecordAccess(false);
-  }
   std::vector<float> row;
-  FillRow(i, &row);
+  ComputeRow(i, &row);
   ++rows_computed_;
-  if (!InsertRow(i, std::move(row))) {
-    // The budget could not admit the row (InsertRow declined before
-    // moving, so `row` still holds the values); hand it out through the
-    // fallback buffer. Its span obeys the same contract (valid until the
-    // next Row() call) and the LRU state is untouched, so a later,
-    // less-pressured call can still cache this row.
-    fallback_row_ = std::move(row);
-    return fallback_row_;
-  }
+  InsertRow(i, std::move(row));
   return rows_.find(i)->second.row;
 }
 
@@ -176,25 +103,17 @@ void KernelCache::Materialize(std::span<const int> rows) {
       missing.push_back(i);
     }
   }
-  if (budget_ != nullptr) {
-    for (size_t k = 0; k < rows.size(); ++k) {
-      // One access per requested row, mirroring the Row()-per-row
-      // accounting the sequential path would have produced.
-      budget_->RecordAccess(k < rows.size() - missing.size());
-    }
-  }
   if (missing.empty()) {
     return;
   }
   std::vector<std::vector<float>> computed(missing.size());
   ParallelFor(missing.size(), 1, [&](size_t begin, size_t end) {
     for (size_t k = begin; k < end; ++k) {
-      FillRow(missing[k], &computed[k]);
+      ComputeRow(missing[k], &computed[k]);
     }
   });
   // Sequential insertion in argument order reproduces the LRU transitions
-  // of one Row() call per row; a row the budget cannot admit is dropped
-  // and recomputed by the Row() call that needs it.
+  // of one Row() call per row.
   for (size_t k = 0; k < missing.size(); ++k) {
     ++rows_computed_;
     InsertRow(missing[k], std::move(computed[k]));

@@ -3,14 +3,11 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/cache_manager.h"
-#include "cache/shared_row_cache.h"
 #include "common/dataset.h"
 #include "common/status.h"
 #include "simd/soa_block.h"
@@ -26,21 +23,17 @@ namespace dbsvec {
 /// row cache keeps memory O(cache_size) instead of O(ñ²) while serving the
 /// common re-touched rows (the support vectors) from memory.
 ///
-/// When the process-wide CacheManager is enabled (--cache-mb /
-/// DBSVEC_CACHE_MB), every instance additionally accounts its resident
-/// rows against the shared "kernel_rows" budget — concurrent solves share
-/// one global limit instead of each assuming `max_bytes` — and consults
-/// the cross-solve "svdd_rows" store before computing a row. Rows are
-/// recomputed bit-identically on any miss, so results never depend on the
-/// budget, residency, or what other solves are doing.
+/// Each instance owns its cache: nothing is shared across solves, and the
+/// only bound is the per-instance `max_bytes`. A row is recomputed
+/// bit-identically on every miss, so a solve's result never depends on the
+/// cap or on which rows happen to be resident.
 class KernelCache {
  public:
   /// Builds a cache over `target` (indices into `dataset`), Gaussian width
   /// `sigma`, and at most `max_bytes` of cached rows (at least two rows are
-  /// always retained, budget permitting).
+  /// always retained).
   KernelCache(const Dataset& dataset, std::span<const PointIndex> target,
               double sigma, size_t max_bytes = 64u << 20);
-  ~KernelCache();
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
@@ -58,19 +51,15 @@ class KernelCache {
   /// cache, computing the missing ones concurrently. Rows are inserted in
   /// argument order, so the LRU state ends up exactly as if each row had
   /// been fetched through Row() in that order; at most max_rows() rows are
-  /// computed, and under a shared budget a row the reservation cannot
-  /// admit is dropped (Row() recomputes it on demand). Not safe to call
-  /// concurrently with itself or Row().
+  /// computed. Not safe to call concurrently with itself or Row().
   void Materialize(std::span<const int> rows);
 
-  /// Cache capacity in rows (the per-instance cap; a shared budget can
-  /// constrain residency further).
+  /// Cache capacity in rows.
   size_t max_rows() const { return max_rows_; }
 
   /// Accounted footprint of one resident row: payload floats plus the
   /// per-row bookkeeping (list node, hash-map node, vector header) — so
-  /// `max_bytes` and the shared budget reflect actual memory, not just
-  /// payload.
+  /// `max_bytes` reflects actual memory, not just payload.
   size_t row_footprint_bytes() const { return row_footprint_bytes_; }
 
   /// Diagonal entry K(x_i, x_i); 1 for the Gaussian kernel.
@@ -94,8 +83,7 @@ class KernelCache {
   const GaussianKernel& kernel() const { return kernel_; }
   /// Dataset index of target point i.
   PointIndex target(int i) const { return target_[i]; }
-  /// Instrumentation: rows served on a local cache miss (whether computed
-  /// or pulled from the cross-solve store).
+  /// Instrumentation: rows computed on a cache miss.
   uint64_t rows_computed() const { return rows_computed_; }
   /// Instrumentation: rows currently resident.
   size_t rows_resident() const { return rows_.size(); }
@@ -109,20 +97,12 @@ class KernelCache {
   Status status() const;
 
  private:
-  /// Computes row i; returns false when the fill was poisoned by an
-  /// injected fault (the sticky status is set and the row must not be
-  /// shared across solves).
-  bool ComputeRow(int i, std::vector<float>* row) const;
-  /// Fills `*row` on a local miss: cross-solve store first (when the
-  /// manager is enabled), computing otherwise — and offers a freshly
-  /// computed row back to the store.
-  void FillRow(int i, std::vector<float>* row);
-  /// Evicts the LRU tail, returning its bytes to the shared budget.
-  void EvictTail();
-  /// Inserts `row` as row i at the LRU front, evicting for capacity and
-  /// budget. Returns false when the budget cannot admit the row even with
-  /// the cache empty — the caller serves it from the fallback buffer.
-  bool InsertRow(int i, std::vector<float>&& row);
+  /// Computes row i into `*row`. An injected fault leaves the row zeroed
+  /// and sets the sticky status.
+  void ComputeRow(int i, std::vector<float>* row) const;
+  /// Inserts `row` as row i at the LRU front, evicting the LRU tail for
+  /// capacity.
+  void InsertRow(int i, std::vector<float>&& row);
   /// Records `status` as the sticky error if none is set yet. Safe from
   /// pool workers (Materialize fills rows concurrently).
   void RecordStatus(Status status) const;
@@ -136,11 +116,6 @@ class KernelCache {
   size_t row_footprint_bytes_;
   size_t max_rows_;
 
-  // Shared-budget wiring; null/zero when the manager is disabled.
-  std::shared_ptr<cache::CacheHandle> budget_;
-  cache::SharedRowCache* shared_rows_ = nullptr;
-  uint64_t signature_token_ = 0;
-
   // LRU bookkeeping: most recently used rows at the front.
   std::list<int> lru_;
   struct Entry {
@@ -148,9 +123,6 @@ class KernelCache {
     std::list<int>::iterator lru_pos;
   };
   std::unordered_map<int, Entry> rows_;
-  /// Serves a row the budget could not admit; valid until the next Row()
-  /// call, exactly like a resident row's span.
-  std::vector<float> fallback_row_;
   uint64_t rows_computed_ = 0;
 
   mutable std::mutex status_mutex_;

@@ -102,7 +102,7 @@ TEST_F(FaultTest, SitesCoverEveryInstrumentedLayer) {
   const std::vector<std::string_view> sites = FailpointRegistry::Sites();
   const std::vector<std::string_view> expected = {
       "csv.read",      "index.build",   "exec.shard_merge",
-      "kernel_cache.materialize",       "cache.reserve",
+      "kernel_cache.materialize",
       "smo.solve",     "svdd.train",    "svdd.budget_merge",
       "thread_pool.task",
       "model.save",    "model.load",    "assign.batch",
@@ -708,9 +708,6 @@ TEST_F(FaultTest, ErrorSweepEverySiteFailsCleanlyOrDegrades) {
   // sweeps them through a live server instead. exec.shard_merge sits on
   // the sharded batch path, which the default shards=0 pipeline never
   // takes; the ShardMerge* tests below exercise it through a sharded fit.
-  // cache.reserve sits inside CacheManager::Reserve, which is never called
-  // while the manager is disabled (the default here); tests/cache_test.cc
-  // sweeps it through fit+assign with a budget configured.
   // svdd.budget_merge sits inside the budgeted SMO maintenance step, which
   // the default sv_budget=0 pipeline never enters; the Budget* tests in
   // tests/budget_test.cc sweep it through a budgeted fit.
@@ -722,7 +719,7 @@ TEST_F(FaultTest, ErrorSweepEverySiteFailsCleanlyOrDegrades) {
   // registry server.
   const std::vector<std::string> out_of_pipeline_sites = {
       "server.accept", "server.reload", "serve.refresh", "exec.shard_merge",
-      "cache.reserve", "svdd.budget_merge", "journal.append",
+      "svdd.budget_merge", "journal.append",
       "journal.fsync", "registry.create", "registry.recover"};
 
   for (const std::string_view site : FailpointRegistry::Sites()) {

@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "index/brute_force_index.h"
 #include "index/lsh_index.h"
@@ -93,66 +91,6 @@ TEST(LshIndexTest, DeterministicForEqualSeeds) {
     b.RangeQuery(dataset.point(q), 1.0, &out_b);
     EXPECT_EQ(testing::Sorted(out_a), testing::Sorted(out_b));
   }
-}
-
-TEST(LshIndexTest, ConcurrentQueriesMatchSequentialOracle) {
-  // Threads querying one index at once — directly and through the pooled
-  // RangeQueryBatch — must see exactly the sequential answers, and the
-  // distance counter must sum to the sequential total.
-  const double epsilon = 1.5;
-  const Dataset dataset = testing::RandomDataset(2000, 4, 10.0, 36);
-  const LshIndex lsh(dataset, epsilon);
-  const PointIndex num_queries = 400;
-  std::vector<std::vector<PointIndex>> expected(num_queries);
-  for (PointIndex q = 0; q < num_queries; ++q) {
-    lsh.RangeQuery(dataset.point(q), epsilon, &expected[q]);
-  }
-  const uint64_t sequential_distances = lsh.num_distance_computations();
-  lsh.ResetCounters();
-
-  SetGlobalThreads(4);
-  constexpr int kThreads = 4;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<PointIndex> out;
-      for (PointIndex q = 0; q < num_queries; ++q) {
-        lsh.RangeQuery(dataset.point(q), epsilon, &out);
-        if (out != expected[q]) {
-          ++mismatches[t];
-        }
-        if (lsh.RangeCount(dataset.point(q), epsilon) !=
-            static_cast<PointIndex>(expected[q].size())) {
-          ++mismatches[t];
-        }
-      }
-      std::vector<PointIndex> batch(num_queries);
-      for (PointIndex q = 0; q < num_queries; ++q) {
-        batch[q] = (q + t * 97) % num_queries;
-      }
-      std::vector<std::vector<PointIndex>> results;
-      if (!lsh.RangeQueryBatch(batch, epsilon, &results).ok()) {
-        ++mismatches[t];
-        return;
-      }
-      for (PointIndex k = 0; k < num_queries; ++k) {
-        if (results[k] != expected[batch[k]]) {
-          ++mismatches[t];
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  SetGlobalThreads(0);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
-  }
-  // Each thread ran every query three times (RangeQuery, RangeCount, batch).
-  EXPECT_EQ(lsh.num_distance_computations(),
-            3 * kThreads * sequential_distances);
 }
 
 }  // namespace

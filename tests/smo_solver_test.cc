@@ -166,6 +166,28 @@ TEST(SmoSolverTest, IterationCapReported) {
   EXPECT_LE(solution.iterations, 3);
 }
 
+TEST(SmoSolverTest, SolutionIndependentOfRowCap) {
+  // The solver reads the kernel only through Row(), and every miss
+  // recomputes the row bit-identically, so the row cap changes residency
+  // and nothing else. max_bytes = 1 keeps two rows resident and evicts on
+  // almost every step.
+  const Dataset dataset = testing::RandomDataset(200, 4, 5.0, 13);
+  const auto target = AllIndices(dataset);
+  std::vector<double> bounds(dataset.size(), 0.02);
+  KernelCache roomy(dataset, target, 2.0);
+  KernelCache thrashing(dataset, target, 2.0, /*max_bytes=*/1);
+  ASSERT_EQ(thrashing.max_rows(), 2u);
+  SmoSolution reference;
+  SmoSolution evicting;
+  ASSERT_TRUE(SmoSolver::Solve(&roomy, bounds, SmoOptions(), &reference).ok());
+  ASSERT_TRUE(
+      SmoSolver::Solve(&thrashing, bounds, SmoOptions(), &evicting).ok());
+  EXPECT_GT(thrashing.rows_computed(), roomy.rows_computed());
+  EXPECT_EQ(evicting.alpha, reference.alpha);
+  EXPECT_EQ(evicting.iterations, reference.iterations);
+  EXPECT_EQ(evicting.alpha_k_alpha, reference.alpha_k_alpha);
+}
+
 TEST(KernelCacheTest, RowMatchesDirectKernel) {
   const Dataset dataset = testing::RandomDataset(50, 3, 5.0, 17);
   std::vector<PointIndex> target = {0, 5, 10, 15, 20};
@@ -201,6 +223,42 @@ TEST(KernelCacheTest, DiagIsOneForGaussian) {
   std::vector<PointIndex> target = {0};
   KernelCache cache(dataset, target, 3.0);
   EXPECT_DOUBLE_EQ(cache.Diag(0), 1.0);
+}
+
+TEST(KernelCacheTest, AtMissComputesSingleEntryWithoutTouchingLru) {
+  const Dataset dataset = testing::RandomDataset(64, 3, 5.0, 17);
+  std::vector<PointIndex> target;
+  for (PointIndex i = 0; i < 32; ++i) {
+    target.push_back(i);
+  }
+  KernelCache kcache(dataset, target, 2.0);
+  ASSERT_EQ(kcache.rows_resident(), 0u);
+
+  // Double miss: the entry comes straight from the kernel function — no
+  // row is materialized and the LRU stays empty.
+  const double direct = kcache.At(3, 7);
+  EXPECT_EQ(kcache.rows_resident(), 0u);
+  EXPECT_EQ(kcache.rows_computed(), 0u);
+  EXPECT_EQ(direct, kcache.kernel().FromSquaredDistance(
+                        dataset.SquaredDistance(target[3], target[7])));
+
+  // With row 3 resident, At serves from it (and from the symmetric row)
+  // without materializing anything new.
+  const std::span<const float> row3 = kcache.Row(3);
+  EXPECT_EQ(kcache.rows_resident(), 1u);
+  EXPECT_EQ(kcache.At(3, 7), static_cast<double>(row3[7]));
+  EXPECT_EQ(kcache.At(7, 3), static_cast<double>(row3[7]));
+  EXPECT_EQ(kcache.rows_resident(), 1u);
+}
+
+TEST(KernelCacheTest, FootprintAccountsForBookkeepingOverhead) {
+  const Dataset dataset = testing::RandomDataset(64, 3, 5.0, 17);
+  std::vector<PointIndex> target = {0, 1, 2, 3, 4, 5, 6, 7};
+  KernelCache kcache(dataset, target, 2.0, /*max_bytes=*/1 << 20);
+  // Footprint must exceed the raw payload: the list node, map node, and
+  // vector header are real bytes.
+  EXPECT_GT(kcache.row_footprint_bytes(), target.size() * sizeof(float));
+  EXPECT_EQ(kcache.max_rows(), (1u << 20) / kcache.row_footprint_bytes());
 }
 
 TEST(GaussianKernelTest, KnownValues) {

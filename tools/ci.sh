@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: Release build + full test suite (run twice: once with the
 # best SIMD backend, once with DBSVEC_SIMD=off so the scalar fallback stays
-# green), a ThreadSanitizer build running the concurrency-sensitive tests,
+# green), a ThreadSanitizer build running the whole test suite,
 # an AddressSanitizer build running the model-format, serving, fault, and
 # SIMD agreement tests (malformed model files must fail with a Status, never
 # with memory errors; the SoA block views must never read out of bounds),
@@ -14,12 +14,11 @@
 # crash-recovery harness SIGKILLs a durable server (quiesced and
 # mid-absorb) and asserts label bit-identity after restart, followed by a
 # torn-journal truncation fuzz through the offline recovery oracle
-# (docs/ROBUSTNESS.md). The multi-tenant registry gets three legs of its
-# own: a TSan churn run (concurrent create/delete/reload/assign against
-# named models), an ASan registry harness that creates three tenants over
-# REST, SIGKILLs the server, and asserts per-model label bit-identity
-# after recovery, and a registry.create / registry.recover failpoint
-# sweep through the CLI (docs/SERVING.md).
+# (docs/ROBUSTNESS.md). The multi-tenant registry gets two legs of its
+# own: an ASan registry harness that creates three tenants over REST,
+# SIGKILLs the server, and asserts per-model label bit-identity after
+# recovery, and a registry.create / registry.recover failpoint sweep
+# through the CLI (docs/SERVING.md).
 # Run from anywhere; builds land in <repo>/build-ci-{release,tsan,asan,ubsan}.
 set -euo pipefail
 
@@ -55,24 +54,20 @@ cmake --build "${repo}/build-ci-release" -j "${jobs}" --target bench_budget
 "${repo}/build-ci-release/bench/bench_budget" --smoke \
   --out="${repo}/build-ci-release/BENCH_budget_smoke.json"
 
-echo "=== ThreadSanitizer build + concurrency tests ==="
+echo "=== ThreadSanitizer build + full test suite ==="
 cmake -S "${repo}" -B "${repo}/build-ci-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDBSVEC_SANITIZE=thread \
   -DDBSVEC_BUILD_BENCHMARKS=OFF \
   -DDBSVEC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${repo}/build-ci-tsan" -j "${jobs}" --target dbsvec_tests
-# Determinism + thread-pool tests force an 8-thread pool, so they exercise
-# every parallel section under TSan even on small machines — including the
-# DeterminismTest.Sharded* sweep, which runs the sharded execution engine
-# (per-shard fan-out + deterministic merge) at shards up to 7 with 8
-# workers. The server reload-under-load test hammers /v1/assign from 8
-# connections while the model pointer swaps, so the RCU handoff is
-# race-checked too. The LSH tests query one index from several threads,
-# the penalty-weight oracle fills its SoA views on the pool, and the idle
-# start/shutdown loop races worker wake-ups against Server::Shutdown.
-ctest --test-dir "${repo}/build-ci-tsan" --output-on-failure -j "${jobs}" \
-  -R 'Determinism|ThreadPool|ServerTest.ReloadUnderLoad|DurableServer|Lsh|PenaltyWeights|ServerTest.*Shutdown'
+# Every test runs under TSan, so a new concurrent path is race-checked the
+# day it lands instead of when someone adds it to a list. The suite forces
+# multi-thread pools where it matters (determinism sweeps at 8 workers, the
+# index concurrency conformance test, server reload-under-load, registry
+# churn, idle start/shutdown loops), so this covers the pool, the sharded
+# engine, the RCU engine handoff and server teardown even on small hosts.
+ctest --test-dir "${repo}/build-ci-tsan" --output-on-failure -j "${jobs}"
 
 echo "=== TSan sharded fit through the CLI (shards=4, threads=8) ==="
 # One end-to-end sharded fit under TSan via the real CLI entry point: the
@@ -82,26 +77,6 @@ cmake --build "${repo}/build-ci-tsan" -j "${jobs}" --target dbsvec_cli
 "${repo}/build-ci-tsan/tools/dbsvec_cli" \
   --demo=blobs --demo-n=2000 --demo-dim=4 --minpts=10 \
   --shards=4 --threads=8
-
-echo "=== TSan cache manager: concurrent fit + serve on a small budget ==="
-# The Cache* tests hammer the budgeted manager from many threads —
-# Reserve/Release races, rebalances shifting shares mid-reservation, the
-# shared row store feeding concurrent solves, and the serving query cache
-# under concurrent AssignBatch traffic. A CLI fit at a deliberately tiny
-# --cache-mb race-checks the eviction/fallback paths end to end.
-ctest --test-dir "${repo}/build-ci-tsan" --output-on-failure -j "${jobs}" \
-  -R 'Cache'
-"${repo}/build-ci-tsan/tools/dbsvec_cli" \
-  --demo=blobs --demo-n=2000 --demo-dim=4 --minpts=10 \
-  --cache-mb=1 --threads=8
-
-echo "=== TSan registry churn: concurrent create/delete/reload/assign ==="
-# Four client threads hammer one registry server with model creates,
-# deletes, reloads, and assigns (plus streaming bodies and a
-# delete-while-assigning race), so the registry's admin lock, the RCU
-# engine handoff, and the per-model in-flight pin are all race-checked.
-ctest --test-dir "${repo}/build-ci-tsan" --output-on-failure -j "${jobs}" \
-  -R 'RegistryServerTest.ConcurrentCreateDeleteReloadAssignChurn|RegistryServerTest.InFlightAssignFinishesOnItsEngineAcrossDelete|RegistryServerTest.StreamingAssignProcessesBodiesPastTheCap'
 
 echo "=== AddressSanitizer build + model/serving tests ==="
 cmake -S "${repo}" -B "${repo}/build-ci-asan" \

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cache_manager.h"
 #include "cli/cli_options.h"
 #include "cli/cli_runner.h"
 #include "cluster/dbscan.h"
@@ -297,12 +296,6 @@ int Main(int argc, char** argv) {
     return 0;
   }
   SetGlobalThreads(options.threads);
-  if (options.cache_mb >= 0) {
-    // Explicit flag overrides DBSVEC_CACHE_MB; unset (-1) lets Global()
-    // read the environment on first use.
-    cache::CacheManager::SetGlobalLimitBytes(
-        static_cast<size_t>(options.cache_mb) << 20);
-  }
   if (!options.failpoints.empty()) {
     if (const Status status =
             FailpointRegistry::Instance().ArmSpec(options.failpoints);
