@@ -1,11 +1,13 @@
 // SIMD micro-kernel harness: throughput of the batched primitives
 // (squared-distance and eps-count over SoA blocks) scalar vs the best
 // vector backend (AVX-512 when available, else AVX2) at d ∈ {2, 8, 32},
-// plus end-to-end DBSVEC wall time on the Fig. 6 random-walk workload with
-// the SIMD dispatch forced off and on — unsharded and sharded. Labels must
-// be bit-identical across backends — the harness fails otherwise. The JSON
-// additionally reports the primitive-vs-e2e speedup ratio: how much of the
-// micro-kernel gain survives to the full fit.
+// the Gaussian-kernel exp in ns per element (glibc exp against KernelExp
+// on every available backend), plus end-to-end DBSVEC wall time on the
+// Fig. 6 random-walk workload with the SIMD dispatch forced off and on —
+// unsharded and sharded. Labels must be bit-identical across backends —
+// the harness fails otherwise. The JSON additionally reports the
+// primitive-vs-e2e speedup ratio: how much of the micro-kernel gain
+// survives to the full fit.
 //
 // Flags: --points --reps --n --dim --eps --minpts --seed --shards --out
 // Writes BENCH_simd.json next to the text tables.
@@ -89,6 +91,18 @@ double CountPass(const simd::SoaBlockView& view, std::span<const double> query,
   return static_cast<double>(total);
 }
 
+/// One kernel row's exp over `d2` per inner pass, through `exp_row`.
+template <typename ExpRow>
+double ExpPass(const std::vector<double>& d2, double c, double* out,
+               int inner, const ExpRow& exp_row) {
+  double sum = 0.0;
+  for (int k = 0; k < inner; ++k) {
+    exp_row(d2.data(), c, out, d2.size());
+    sum += out[d2.size() - 1];
+  }
+  return sum;
+}
+
 int Main(int argc, char** argv) {
   const bench::Args args(argc, argv);
   const PointIndex points =
@@ -170,6 +184,57 @@ int Main(int argc, char** argv) {
     add("count_within", count);
   }
   prim_table.Print();
+
+  // --- Gaussian-kernel exp, ns per element --------------------------------
+  // One kernel row of the d = 8 dataset with σ at the median distance, so
+  // the exponents span the range the penalty weights and SMO rows see.
+  struct ExpRun {
+    std::string name;
+    double ns = 0.0;
+  };
+  std::vector<ExpRun> exp_runs;
+  {
+    const Dataset dataset = RandomDataset(points, 8, 1008);
+    const simd::SoaBlockView view(dataset);
+    std::vector<double> d2(view.size());
+    view.SquaredDistances(dataset.point(0), 0, view.size(), d2.data());
+    std::vector<double> sorted = d2;
+    std::sort(sorted.begin(), sorted.end());
+    const double c = 1.0 / (2.0 * sorted[sorted.size() / 2]);
+    std::vector<double> out(d2.size());
+    const int inner = static_cast<int>(16'000'000 / points) + 1;
+    const double total = static_cast<double>(points) * inner;
+    const auto ns = [&](const auto& exp_row) {
+      return BestSeconds(reps, &checksum, [&] {
+               return ExpPass(d2, c, out.data(), inner, exp_row);
+             }) /
+             total * 1e9;
+    };
+    exp_runs.push_back(
+        {"glibc", ns([](const double* x, double cc, double* y, size_t n) {
+           for (size_t k = 0; k < n; ++k) {
+             y[k] = std::exp(-x[k] * cc);
+           }
+         })});
+    std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+    if (have_avx2) {
+      backends.push_back(simd::Backend::kAvx2);
+    }
+    if (have_avx512) {
+      backends.push_back(simd::Backend::kAvx512);
+    }
+    for (const simd::Backend backend : backends) {
+      simd::ForceBackend(backend);
+      exp_runs.push_back({std::string("KernelExp ") +
+                              simd::BackendName(backend),
+                          ns(simd::ActiveOps().kernel_exp)});
+    }
+  }
+  bench::Table exp_table({"exp", "ns/element"});
+  for (const ExpRun& run : exp_runs) {
+    exp_table.AddRow({run.name, bench::FormatDouble(run.ns, 2)});
+  }
+  exp_table.Print();
 
   // --- End-to-end DBSVEC on the Fig. 6 workload --------------------------
   RandomWalkParams data;
@@ -306,6 +371,12 @@ int Main(int argc, char** argv) {
          << (i + 1 < primitives.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
+       << "  \"exp_ns_per_element\": {";
+  for (size_t i = 0; i < exp_runs.size(); ++i) {
+    json << "\"" << exp_runs[i].name << "\": " << exp_runs[i].ns
+         << (i + 1 < exp_runs.size() ? ", " : "");
+  }
+  json << "},\n"
        << "  \"end_to_end\": {\"workload\": {\"generator\": \"random_walk\", "
        << "\"n\": " << data.n << ", \"dim\": " << data.dim
        << ", \"eps\": " << params.epsilon << ", \"minpts\": "

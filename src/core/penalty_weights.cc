@@ -36,21 +36,22 @@ std::vector<double> ComputePenaltyWeights(
   const double m = static_cast<double>(anchors.size());
 
   // Anchor-major: one kernel row K(x_a, ·) over the whole target per
-  // anchor. The distances are batched over the SoA view; the exp stays
-  // scalar libm, exactly GaussianKernel::FromSquaredDistance. Each
+  // anchor — batched distances over the SoA view, then the dispatched
+  // KernelExp, exactly GaussianKernel::FromSquaredDistance. Each
   // per-point sum accumulates in anchor order, so the weights do not
   // depend on the SIMD backend (docs/PERFORMANCE.md, determinism policy).
   //   sums[i] = Σ_a K(x_a, x_i)
   //   mean_kk = (1/m²)·Σ_a Σ_b K(x_a, x_b) — the constant first term of
   //             Eq. 5, read off the same rows in a-then-b order.
   const simd::SoaBlockView view(dataset, target);
+  const auto& ops = simd::ActiveOps();
   std::vector<double> sums(n, 0.0);
   std::vector<double> row(n);
   double mean_kk = 0.0;
   for (const int a : anchors) {
     view.SquaredDistances(dataset.point(target[a]), 0, n, row.data());
+    ops.kernel_exp(row.data(), inv_two_sigma_sq, row.data(), row.size());
     for (int i = 0; i < n; ++i) {
-      row[i] = std::exp(-row[i] * inv_two_sigma_sq);
       sums[i] += row[i];
     }
     for (const int b : anchors) {

@@ -31,7 +31,8 @@ class DynamicRStarTree final : public NeighborIndex {
   explicit DynamicRStarTree(const Dataset& dataset);
 
   /// Inserts dataset point `i` (useful after Dataset::Append — the tree
-  /// does not observe appends by itself).
+  /// does not observe appends by itself). Needs exclusive access: no query
+  /// may run concurrently with an insert.
   void Insert(PointIndex i);
 
   void RangeQuery(std::span<const double> query, double epsilon,

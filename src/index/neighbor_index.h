@@ -32,11 +32,11 @@ enum class IndexType {
 /// queries served, number of point-to-point distance evaluations) that the
 /// complexity benchmarks (Table II) read back.
 ///
-/// Thread safety: the static engines (brute-force, kd-tree, R*-tree, grid,
-/// LSH) answer concurrent `RangeQuery`/`RangeCount` calls safely —
-/// per-query state lives on the stack and the counters are atomic.
-/// DynamicRStarTree supports insertion, so it may not be queried
-/// concurrently.
+/// Thread safety: every engine answers concurrent `RangeQuery`/`RangeCount`
+/// calls safely — per-query state lives on the stack and the counters are
+/// atomic. For DynamicRStarTree this holds between inserts: concurrent
+/// reads are safe, and `Insert` needs exclusive access (the serving overlay
+/// takes its exclusive lock to insert and reads under the shared one).
 class NeighborIndex {
  public:
   /// A pair of instrumentation counters matching the index's own.

@@ -22,6 +22,7 @@ constexpr Ops kScalarOps = {
     .count_within_block = &CountWithinBlockScalar,
     .axpy_float = &AxpyFloatScalar,
     .gradient_update = &GradientUpdateScalar,
+    .kernel_exp = &KernelExpScalar,
 };
 
 #if defined(DBSVEC_HAVE_AVX2)
@@ -31,6 +32,7 @@ constexpr Ops kAvx2Ops = {
     .count_within_block = &CountWithinBlockAvx2,
     .axpy_float = &AxpyFloatAvx2,
     .gradient_update = &GradientUpdateAvx2,
+    .kernel_exp = &KernelExpAvx2,
 };
 #endif
 
@@ -41,6 +43,7 @@ constexpr Ops kAvx512Ops = {
     .count_within_block = &CountWithinBlockAvx512,
     .axpy_float = &AxpyFloatAvx512,
     .gradient_update = &GradientUpdateAvx512,
+    .kernel_exp = &KernelExpAvx512,
 };
 #endif
 

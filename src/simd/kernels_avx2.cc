@@ -11,6 +11,8 @@
 // are used instead of FMA, and the file is compiled with -ffp-contract=off
 // so the compiler cannot re-fuse them; both backends therefore round
 // identically and DBSVEC_SIMD=off|on produce bit-identical output.
+// KernelExpAvx2 is KernelExp (kernels_scalar.cc) four lanes at a time,
+// step for step; the < 4-element tail calls KernelExp itself.
 
 #include "simd/simd_kernels.h"
 
@@ -19,6 +21,8 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cfloat>
+#include <iterator>
 
 namespace dbsvec::simd {
 
@@ -39,6 +43,33 @@ inline void BlockDistances(const double* query, const double* block, int dim,
   }
   *acc_lo = lo;
   *acc_hi = hi;
+}
+
+/// KernelExp on 4 lanes: the scalar reference's operations, in its order.
+inline __m256d ExpLanes(__m256d x) {
+  const __m256d xc = _mm256_max_pd(x, _mm256_set1_pd(kExpMinArg));
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  const __m256d t =
+      _mm256_add_pd(_mm256_mul_pd(xc, _mm256_set1_pd(kExpLog2e)), shift);
+  const __m256d k = _mm256_sub_pd(t, shift);
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(xc, _mm256_mul_pd(k, _mm256_set1_pd(kExpLn2Hi))),
+      _mm256_mul_pd(k, _mm256_set1_pd(kExpLn2Lo)));
+  __m256d q = _mm256_set1_pd(kExpPoly[0]);
+  for (size_t i = 1; i < std::size(kExpPoly); ++i) {
+    q = _mm256_add_pd(_mm256_mul_pd(q, r), _mm256_set1_pd(kExpPoly[i]));
+  }
+  const __m256d p = _mm256_add_pd(
+      _mm256_set1_pd(1.0),
+      _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r), q)));
+  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(t),
+                       _mm256_set1_epi64x(static_cast<int64_t>(kExpBias))),
+      52));
+  __m256d result = _mm256_mul_pd(p, scale);
+  result = _mm256_andnot_pd(
+      _mm256_cmp_pd(result, _mm256_set1_pd(DBL_MIN), _CMP_LT_OQ), result);
+  return _mm256_blendv_pd(result, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
 }
 
 }  // namespace
@@ -93,6 +124,19 @@ void GradientUpdateAvx2(double a, const float* xi, const float* xj,
   }
   for (; k < n; ++k) {
     y[k] += a * (xi[k] - xj[k]);
+  }
+}
+
+void KernelExpAvx2(const double* d2, double c, double* out, size_t n) {
+  const double neg_c = -c;
+  const __m256d vc = _mm256_set1_pd(neg_c);
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    _mm256_storeu_pd(out + k,
+                     ExpLanes(_mm256_mul_pd(_mm256_loadu_pd(d2 + k), vc)));
+  }
+  for (; k < n; ++k) {
+    out[k] = KernelExp(d2[k] * neg_c);
   }
 }
 

@@ -16,7 +16,8 @@
 // are used instead of FMA, and the file is compiled with -ffp-contract=off
 // so the compiler cannot re-fuse them; all backends therefore round
 // identically and DBSVEC_SIMD=off|avx2|avx512 produce bit-identical
-// output.
+// output. KernelExpAvx512 is KernelExp (kernels_scalar.cc) eight lanes at
+// a time, step for step; the < 8-element tail calls KernelExp itself.
 
 #include "simd/simd_kernels.h"
 
@@ -25,6 +26,8 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cfloat>
+#include <iterator>
 
 namespace dbsvec::simd {
 
@@ -40,6 +43,35 @@ inline __m512d BlockDistances(const double* query, const double* block,
     acc = _mm512_add_pd(acc, _mm512_mul_pd(d, d));
   }
   return acc;
+}
+
+/// KernelExp on 8 lanes: the scalar reference's operations, in its order.
+inline __m512d ExpLanes(__m512d x) {
+  const __m512d xc = _mm512_max_pd(x, _mm512_set1_pd(kExpMinArg));
+  const __m512d shift = _mm512_set1_pd(kExpShift);
+  const __m512d t =
+      _mm512_add_pd(_mm512_mul_pd(xc, _mm512_set1_pd(kExpLog2e)), shift);
+  const __m512d k = _mm512_sub_pd(t, shift);
+  const __m512d r = _mm512_sub_pd(
+      _mm512_sub_pd(xc, _mm512_mul_pd(k, _mm512_set1_pd(kExpLn2Hi))),
+      _mm512_mul_pd(k, _mm512_set1_pd(kExpLn2Lo)));
+  __m512d q = _mm512_set1_pd(kExpPoly[0]);
+  for (size_t i = 1; i < std::size(kExpPoly); ++i) {
+    q = _mm512_add_pd(_mm512_mul_pd(q, r), _mm512_set1_pd(kExpPoly[i]));
+  }
+  const __m512d p = _mm512_add_pd(
+      _mm512_set1_pd(1.0),
+      _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, r), q)));
+  const __m512d scale = _mm512_castsi512_pd(_mm512_slli_epi64(
+      _mm512_add_epi64(_mm512_castpd_si512(t),
+                       _mm512_set1_epi64(static_cast<int64_t>(kExpBias))),
+      52));
+  const __m512d result = _mm512_mul_pd(p, scale);
+  const __mmask8 flush =
+      _mm512_cmp_pd_mask(result, _mm512_set1_pd(DBL_MIN), _CMP_LT_OQ);
+  const __mmask8 nan = _mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q);
+  return _mm512_mask_blend_pd(
+      nan, _mm512_mask_blend_pd(flush, result, _mm512_setzero_pd()), x);
 }
 
 }  // namespace
@@ -86,6 +118,19 @@ void GradientUpdateAvx512(double a, const float* xi, const float* xj,
   }
   for (; k < n; ++k) {
     y[k] += a * (xi[k] - xj[k]);
+  }
+}
+
+void KernelExpAvx512(const double* d2, double c, double* out, size_t n) {
+  const double neg_c = -c;
+  const __m512d vc = _mm512_set1_pd(neg_c);
+  size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    _mm512_storeu_pd(out + k,
+                     ExpLanes(_mm512_mul_pd(_mm512_loadu_pd(d2 + k), vc)));
+  }
+  for (; k < n; ++k) {
+    out[k] = KernelExp(d2[k] * neg_c);
   }
 }
 

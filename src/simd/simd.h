@@ -72,11 +72,24 @@ struct Ops {
   /// float exactly as written (the SMO gradient update row product).
   void (*gradient_update)(double a, const float* xi, const float* xj,
                           double* y, size_t n);
+
+  /// out[k] = KernelExp(-d2[k] * c) for k in [0, n) — Gaussian kernel
+  /// values (Eq. 6) from squared distances, with c = 1/(2σ²). `out` may
+  /// equal `d2`; neither needs to be aligned.
+  void (*kernel_exp)(const double* d2, double c, double* out, size_t n);
 };
 
 /// The active dispatch table (env-resolved on first call, see
 /// ActiveBackend).
 const Ops& ActiveOps();
+
+/// exp(x) for the Gaussian kernel's exponents x = −d²/(2σ²) ≤ 0: the
+/// scalar reference of `Ops::kernel_exp`, and bit-identical to it on every
+/// backend (docs/PERFORMANCE.md, determinism rule 3). Within 1 ulp of the
+/// exact value wherever exp(x) ≥ DBL_MIN; smaller results flush to +0, so
+/// −∞ gives +0. exp(±0) is exactly 1 and NaN is returned unchanged.
+/// Arguments x > 0 are outside the domain.
+double KernelExp(double x);
 
 /// RAII lease of a thread-local double buffer of at least `n` elements,
 /// used by index leaf scans for per-leaf distance batches. Leases nest

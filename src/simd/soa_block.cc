@@ -1,7 +1,6 @@
 #include "simd/soa_block.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -114,8 +113,9 @@ void SoaBlockView::RbfRow(std::span<const double> query,
   ScratchLease scratch(n);
   double* d2 = scratch.data();
   SquaredDistances(query, begin, end, d2);
+  ActiveOps().kernel_exp(d2, inv_two_sigma_sq, d2, n);
   for (size_t k = 0; k < n; ++k) {
-    out[k] = static_cast<float>(std::exp(-d2[k] * inv_two_sigma_sq));
+    out[k] = static_cast<float>(d2[k]);
   }
 }
 

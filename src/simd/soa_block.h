@@ -57,10 +57,10 @@ class SoaBlockView {
   size_t CountWithin(std::span<const double> query, size_t begin, size_t end,
                      double eps_sq) const;
 
-  /// out[k] = float(exp(-d2(begin + k) * inv_two_sigma_sq)) — one Gaussian
-  /// kernel row segment (Eq. 6), matching GaussianKernel::FromSquaredDistance
-  /// exactly. The distances are batched; the exp stays scalar libm so both
-  /// backends emit identical bits.
+  /// out[k] = float(KernelExp(-d2(begin + k) * inv_two_sigma_sq)) — one
+  /// Gaussian kernel row segment (Eq. 6), matching
+  /// GaussianKernel::FromSquaredDistance exactly. Distances and exp both
+  /// run on the active backend, which emits the same bits as every other.
   void RbfRow(std::span<const double> query, double inv_two_sigma_sq,
               size_t begin, size_t end, float* out) const;
 

@@ -1,10 +1,10 @@
 #ifndef DBSVEC_SVM_KERNEL_H_
 #define DBSVEC_SVM_KERNEL_H_
 
-#include <cmath>
 #include <span>
 
 #include "common/dataset.h"
+#include "simd/simd.h"
 
 namespace dbsvec {
 
@@ -25,17 +25,18 @@ class GaussianKernel {
     return FromSquaredDistance(SquaredDistance(a, b));
   }
 
-  /// K value given a precomputed squared Euclidean distance.
+  /// K value given a precomputed squared Euclidean distance, through the
+  /// same KernelExp the batched rows use.
   double FromSquaredDistance(double dist_sq) const {
-    return std::exp(-dist_sq * inv_two_sigma_sq_);
+    return simd::KernelExp(-dist_sq * inv_two_sigma_sq_);
   }
 
   /// The RMS width parameter.
   double sigma() const { return sigma_; }
 
   /// The precomputed exponent coefficient 1/(2σ²) — handed to the batched
-  /// RbfRow micro-kernel so its exp() argument matches
-  /// FromSquaredDistance bit for bit.
+  /// kernel rows (RbfRow, the penalty weights) so their KernelExp argument
+  /// matches FromSquaredDistance bit for bit.
   double inv_two_sigma_sq() const { return inv_two_sigma_sq_; }
 
  private:

@@ -1,9 +1,11 @@
-// Concurrency conformance of every static range-query engine: threads
-// querying one index at once — directly and through the pooled
-// RangeQueryBatch — must see exactly the sequential answers, and the
-// instrumentation counters must sum to the sequential totals. The serving
-// path (AssignmentEngine) calls RangeQueryWithDistances from many request
+// Concurrency conformance of every range-query engine: threads querying
+// one index at once — directly and through the pooled RangeQueryBatch —
+// must see exactly the sequential answers, and the instrumentation
+// counters must sum to the sequential totals. The serving path
+// (AssignmentEngine) calls RangeQueryWithDistances from many request
 // threads against one shared index, so it relies on this contract alone.
+// The dynamic R*-tree is checked between inserts (built, then only read),
+// which is how the serving overlay reads it under its shared lock.
 
 #include <functional>
 #include <memory>
@@ -15,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "exec/sharded_index.h"
 #include "gtest/gtest.h"
+#include "index/dynamic_r_star_tree.h"
 #include "index/lsh_index.h"
 #include "index/neighbor_index.h"
 #include "test_util.h"
@@ -62,6 +65,10 @@ std::vector<EngineCase> AllEngines() {
          return std::make_unique<LshIndex>(dataset, epsilon);
        }},
       {"Sharded", BuildSharded},
+      {"DynamicRStarTree",
+       [](const Dataset& dataset, double /*epsilon*/) {
+         return std::make_unique<DynamicRStarTree>(dataset);
+       }},
   };
 }
 

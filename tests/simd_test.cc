@@ -5,8 +5,12 @@
 // exactly filling cache-line rows). This is the enforcement of the
 // determinism contract documented in docs/PERFORMANCE.md.
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +62,18 @@ Dataset RandomDataset(int n, int dim, uint64_t seed) {
 
 bool HaveAvx2() { return simd::Avx2Available(); }
 bool HaveAvx512() { return simd::Avx512Available(); }
+
+/// Every SIMD backend this build and CPU can run.
+std::vector<simd::Backend> AvailableBackends() {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (HaveAvx2()) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  if (HaveAvx512()) {
+    backends.push_back(simd::Backend::kAvx512);
+  }
+  return backends;
+}
 
 TEST(SimdTest, BackendNamesResolve) {
   EXPECT_STREQ(simd::BackendName(simd::Backend::kScalar), "scalar");
@@ -296,6 +312,167 @@ TEST(SimdTest, Avx512SmoRowProductsMatchScalar) {
     }
     EXPECT_EQ(y_scalar, y_avx512) << "n=" << n;
   }
+}
+
+// --- KernelExp: one exp, the same bits on every backend ----------------
+
+/// Kernel exponents to check: a dense sweep of [-760, 0] (past the DBL_MIN
+/// flush point at about -708.4) plus -2^-e·(1 + f) down to the smallest
+/// subnormal magnitude.
+std::vector<double> KernelExpArguments() {
+  std::vector<double> xs;
+  constexpr int kSweep = 1 << 20;
+  for (int i = 0; i <= kSweep; ++i) {
+    xs.push_back(-760.0 * i / kSweep);
+  }
+  for (int e = 0; e <= 1074; ++e) {
+    for (const double f : {0.0, 0.1, 0.5, 0.999}) {
+      xs.push_back(-std::ldexp(1.0 + f, -e));
+    }
+  }
+  return xs;
+}
+
+/// The active backend's `kernel_exp` on arguments `xs`: d2 = -x and c = 1
+/// make its exponent -d2·c exactly x.
+std::vector<double> KernelExpRow(const std::vector<double>& xs) {
+  std::vector<double> d2(xs.size());
+  for (size_t k = 0; k < xs.size(); ++k) {
+    d2[k] = -xs[k];
+  }
+  std::vector<double> out(xs.size());
+  simd::ActiveOps().kernel_exp(d2.data(), 1.0, out.data(), out.size());
+  return out;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(SimdTest, KernelExpBitIdenticalAcrossBackends) {
+  const std::vector<double> xs = KernelExpArguments();
+  for (const simd::Backend backend_choice : AvailableBackends()) {
+    ScopedBackend backend(backend_choice);
+    const std::vector<double> row = KernelExpRow(xs);
+    size_t mismatches = 0;
+    for (size_t k = 0; k < xs.size(); ++k) {
+      if (Bits(row[k]) != Bits(simd::KernelExp(xs[k])) && ++mismatches < 5) {
+        ADD_FAILURE() << simd::BackendName(backend_choice) << " x=" << xs[k]
+                      << " row=" << row[k]
+                      << " scalar=" << simd::KernelExp(xs[k]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << simd::BackendName(backend_choice);
+  }
+}
+
+TEST(SimdTest, KernelExpEdgeCases) {
+  const double ln_min = std::log(DBL_MIN);
+  const double below_min = std::nextafter(ln_min, -1000.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // The closest double to ln(DBL_MIN) lies just above it, one step down
+  // lies below it: the boundary of the flush.
+  ASSERT_GE(std::exp(ln_min), DBL_MIN);
+  ASSERT_LT(std::exp(below_min), DBL_MIN);
+
+  EXPECT_EQ(Bits(simd::KernelExp(0.0)), Bits(1.0));
+  EXPECT_EQ(Bits(simd::KernelExp(-0.0)), Bits(1.0));
+  EXPECT_GE(simd::KernelExp(ln_min), DBL_MIN);
+  EXPECT_LE(std::llabs(static_cast<long long>(Bits(simd::KernelExp(ln_min)) -
+                                              Bits(std::exp(ln_min)))),
+            1);
+  EXPECT_EQ(Bits(simd::KernelExp(below_min)), Bits(0.0));
+  EXPECT_EQ(Bits(simd::KernelExp(-709.0)), Bits(0.0));
+  EXPECT_EQ(Bits(simd::KernelExp(-1e300)), Bits(0.0));
+  EXPECT_EQ(Bits(simd::KernelExp(-inf)), Bits(0.0));
+  EXPECT_EQ(Bits(simd::KernelExp(nan)), Bits(nan));
+
+  // The same cases through every backend's row primitive, as exponents
+  // and as the squared distances a kernel row really sees.
+  const std::vector<double> xs = {0.0,   -0.0,    ln_min, below_min,
+                                  -709., -1e300, -inf,   nan};
+  for (const simd::Backend backend_choice : AvailableBackends()) {
+    ScopedBackend backend(backend_choice);
+    SCOPED_TRACE(simd::BackendName(backend_choice));
+    const std::vector<double> row = KernelExpRow(xs);
+    for (size_t k = 0; k + 1 < xs.size(); ++k) {
+      EXPECT_EQ(Bits(row[k]), Bits(simd::KernelExp(xs[k]))) << "x=" << xs[k];
+    }
+    EXPECT_TRUE(std::isnan(row.back()));
+
+    const std::vector<double> d2 = {0.0, 1.0, 1e300, inf, nan};
+    std::vector<double> kernel(d2.size());
+    simd::ActiveOps().kernel_exp(d2.data(), 0.5, kernel.data(), d2.size());
+    EXPECT_EQ(kernel[0], 1.0);
+    EXPECT_EQ(Bits(kernel[1]), Bits(simd::KernelExp(-0.5)));
+    EXPECT_EQ(Bits(kernel[2]), Bits(0.0));
+    EXPECT_EQ(Bits(kernel[3]), Bits(0.0));
+    EXPECT_TRUE(std::isnan(kernel[4]));
+  }
+}
+
+TEST(SimdTest, KernelExpEveryTailLengthAndUnalignedPointers) {
+  constexpr size_t kMaxLength = 33;
+  constexpr size_t kMaxOffset = 3;
+  constexpr double kSentinel = -12345.0;
+  Rng rng(71);
+  std::vector<double> d2(kMaxLength + kMaxOffset);
+  for (double& v : d2) {
+    v = rng.NextDouble() * 40.0;
+  }
+  const double c = 0.37;
+  for (const simd::Backend backend_choice : AvailableBackends()) {
+    ScopedBackend backend(backend_choice);
+    for (size_t n = 0; n <= kMaxLength; ++n) {
+      for (size_t in_offset = 0; in_offset <= kMaxOffset; ++in_offset) {
+        for (size_t out_offset = 0; out_offset <= kMaxOffset; ++out_offset) {
+          SCOPED_TRACE(testing::Message()
+                       << simd::BackendName(backend_choice) << " n=" << n
+                       << " in+" << in_offset << " out+" << out_offset);
+          std::vector<double> out(kMaxLength + 2 * kMaxOffset + 1, kSentinel);
+          simd::ActiveOps().kernel_exp(d2.data() + in_offset, c,
+                                       out.data() + out_offset, n);
+          for (size_t k = 0; k < out.size(); ++k) {
+            if (k >= out_offset && k < out_offset + n) {
+              ASSERT_EQ(Bits(out[k]), Bits(simd::KernelExp(
+                                          -d2[in_offset + k - out_offset] * c)))
+                  << "k=" << k;
+            } else {
+              ASSERT_EQ(out[k], kSentinel) << "wrote outside [0, n): k=" << k;
+            }
+          }
+          // In place, as RbfRow and the penalty weights call it.
+          std::vector<double> in_place(d2.begin() + in_offset,
+                                       d2.begin() + in_offset + n);
+          simd::ActiveOps().kernel_exp(in_place.data(), c, in_place.data(),
+                                       n);
+          for (size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(Bits(in_place[k]), Bits(out[out_offset + k]));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTest, KernelExpWithinOneUlpOfLibm) {
+  size_t checked = 0;
+  size_t failures = 0;
+  for (const double x : KernelExpArguments()) {
+    const double reference = std::exp(x);
+    if (reference < DBL_MIN) {
+      continue;
+    }
+    ++checked;
+    const double value = simd::KernelExp(x);
+    const long long ulps = std::llabs(static_cast<long long>(Bits(value)) -
+                                      static_cast<long long>(Bits(reference)));
+    if (ulps > 1 && ++failures < 5) {
+      ADD_FAILURE() << "x=" << x << " KernelExp=" << value
+                    << " libm=" << reference << " (" << ulps << " ulp)";
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(checked, size_t{1} << 19);
 }
 
 // --- End-to-end label agreement on the tier-1 synthetic workloads -------

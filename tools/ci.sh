@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: Release build + full test suite (run twice: once with the
-# best SIMD backend, once with DBSVEC_SIMD=off so the scalar fallback stays
-# green), a ThreadSanitizer build running the whole test suite,
+# CI entry point: Release build + full test suite (run with the best SIMD
+# backend, with DBSVEC_SIMD=off so the scalar fallback stays green, and
+# with avx512 forced; the kernel-path tests also run with avx2 forced),
+# a ThreadSanitizer build running the whole test suite,
 # an AddressSanitizer build running the model-format, serving, fault, and
 # SIMD agreement tests (malformed model files must fail with a Status, never
 # with memory errors; the SoA block views must never read out of bounds),
@@ -44,6 +45,18 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null; then
     -j "${jobs}"
 else
   echo "skipped: this host has no AVX-512F (the forced-avx512 leg needs it)"
+fi
+
+echo "=== Release ctest with the AVX2 backend forced (DBSVEC_SIMD=avx2) ==="
+# On AVX-512 hosts auto-detect never runs the AVX2 kernels end to end
+# (KernelExp included), so force them over the kernel-path tests. Without
+# AVX2 the forced leg would fall back to scalar and repeat the leg above.
+if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+  DBSVEC_SIMD=avx2 \
+    ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
+    -j "${jobs}" -R 'Simd|PenaltyWeights|Smo|Svdd|Dbsvec|Determinism'
+else
+  echo "skipped: this host has no AVX2 (the forced-avx2 leg needs it)"
 fi
 
 echo "=== bench_budget smoke: bounded-cost SVDD sweep stays sane ==="
