@@ -48,6 +48,9 @@ struct ClusteringStats {
   /// SVDD solves trained on a boundary-preserving sample instead of the
   /// full target set (DBSVEC with sample_threshold > 0 only).
   uint64_t num_sampled_solves = 0;
+  /// SVDD rounds whose target set exceeded `max_svdd_target` and was
+  /// uniformly subsampled down to it (DBSVEC only).
+  uint64_t num_capped_solves = 0;
 };
 
 /// Role of a point in the density structure (Definitions 1-2 of the

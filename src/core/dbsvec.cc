@@ -146,6 +146,7 @@ void DbsvecRun::SelectTarget(const std::vector<PointIndex>& members,
       static_cast<int>(target->size()) > params_.max_svdd_target) {
     // Uniform subsample (partial Fisher-Yates): a bounded training set
     // keeps each SVDD solve O(max_svdd_target).
+    ++stats_.num_capped_solves;
     for (int i = 0; i < params_.max_svdd_target; ++i) {
       const size_t j =
           i + static_cast<size_t>(rng_.NextBounded(target->size() - i));

@@ -4,10 +4,12 @@
 #include <unordered_set>
 
 #include "cluster/dbscan.h"
+#include "common/thread_pool.h"
 #include "core/dbsvec.h"
 #include "data/shapes.h"
 #include "data/surrogates.h"
 #include "data/synthetic.h"
+#include "eval/external_metrics.h"
 #include "eval/recall.h"
 #include "gtest/gtest.h"
 #include "index/brute_force_index.h"
@@ -520,6 +522,47 @@ TEST(DbsvecTest, TinyTargetCapStillAccurate) {
   Clustering out;
   ASSERT_TRUE(RunDbsvec(dataset, params, &out).ok());
   EXPECT_GE(PairRecall(reference.labels, out.labels), 0.98);
+}
+
+TEST(DbsvecTest, DefaultCapEngagesAndKeepsDbscanLabels) {
+  // Two well-separated ~1.5k-point blobs: each sub-cluster outgrows the
+  // default max_svdd_target, so its larger rounds train on the subsample.
+  // ε = σ/2 keeps each blob one dense cluster out to ~3σ.
+  const Dataset dataset = BlobScene(3000, 2, 2, 0.02, 231);
+  const int min_pts = 8;
+  const double epsilon = 0.5;
+  DbscanParams dbscan_params;
+  dbscan_params.epsilon = epsilon;
+  dbscan_params.min_pts = min_pts;
+  Clustering reference;
+  ASSERT_TRUE(RunDbscan(dataset, dbscan_params, &reference).ok());
+
+  DbsvecParams params;
+  params.epsilon = epsilon;
+  params.min_pts = min_pts;
+  Clustering runs[2];
+  const int threads[2] = {1, 8};
+  for (int k = 0; k < 2; ++k) {
+    SetGlobalThreads(threads[k]);
+    const Status status = RunDbsvec(dataset, params, &runs[k]);
+    SetGlobalThreads(0);
+    ASSERT_TRUE(status.ok());
+  }
+  const Clustering& out = runs[0];
+  EXPECT_GT(out.stats.num_capped_solves, 0u);
+  EXPECT_EQ(out.labels, runs[1].labels);
+  EXPECT_DOUBLE_EQ(AdjustedRandIndex(reference.labels, out.labels), 1.0);
+  for (PointIndex i = 0; i < dataset.size(); ++i) {
+    EXPECT_EQ(reference.labels[i] == Clustering::kNoise,
+              out.labels[i] == Clustering::kNoise)
+        << "point " << i;
+  }
+
+  params.max_svdd_target = 0;
+  Clustering uncapped;
+  ASSERT_TRUE(RunDbsvec(dataset, params, &uncapped).ok());
+  EXPECT_EQ(uncapped.stats.num_capped_solves, 0u);
+  EXPECT_DOUBLE_EQ(AdjustedRandIndex(uncapped.labels, out.labels), 1.0);
 }
 
 TEST(DbsvecTest, NuNearOneDegeneratesTowardDbscan) {

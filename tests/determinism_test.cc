@@ -51,6 +51,7 @@ void ExpectSameStats(const ClusteringStats& a, const ClusteringStats& b) {
   EXPECT_EQ(a.num_merges, b.num_merges);
   EXPECT_EQ(a.noise_list_size, b.noise_list_size);
   EXPECT_EQ(a.smo_iterations, b.smo_iterations);
+  EXPECT_EQ(a.num_capped_solves, b.num_capped_solves);
 }
 
 void ExpectSameClustering(const Clustering& a, const Clustering& b) {
@@ -202,6 +203,7 @@ void ExpectSameStatsExceptDistances(const ClusteringStats& a,
   EXPECT_EQ(a.num_merges, b.num_merges);
   EXPECT_EQ(a.noise_list_size, b.noise_list_size);
   EXPECT_EQ(a.smo_iterations, b.smo_iterations);
+  EXPECT_EQ(a.num_capped_solves, b.num_capped_solves);
 }
 
 TEST(DeterminismTest, ShardedDbsvecBitIdenticalAtEveryShardAndThreadCount) {

@@ -6,6 +6,7 @@
 
 #include "cluster/dbscan.h"
 #include "cluster/nq_dbscan.h"
+#include "common/thread_pool.h"
 #include "core/dbsvec.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -99,6 +100,39 @@ TEST(StatsConsistencyTest, DbsvecQueriesNeverExceedDbscanScale) {
   EXPECT_GE(out.stats.noise_list_size,
             static_cast<uint64_t>(out.CountNoise()));
   EXPECT_GE(out.stats.elapsed_seconds, 0.0);
+}
+
+TEST(StatsConsistencyTest, CappedSolvesCountOnlyCapSubsampledRounds) {
+  const Dataset dataset = Blobs(1500, 615);
+  DbsvecParams params;
+  params.min_pts = 8;
+  params.epsilon = SuggestEpsilon(dataset, params.min_pts);
+
+  params.max_svdd_target = 0;
+  Clustering uncapped;
+  ASSERT_TRUE(RunDbsvec(dataset, params, &uncapped).ok());
+  EXPECT_GT(uncapped.stats.num_svdd_trainings, 0u);
+  EXPECT_EQ(uncapped.stats.num_capped_solves, 0u);
+
+  // ~475-point blobs: a cap of 64 subsamples the first rounds of every
+  // sub-cluster, and the count is a pure function of the run, so it must
+  // not move with the thread count.
+  params.max_svdd_target = 64;
+  Clustering capped[2];
+  const int threads[2] = {1, 8};
+  for (int k = 0; k < 2; ++k) {
+    SetGlobalThreads(threads[k]);
+    const Status status = RunDbsvec(dataset, params, &capped[k]);
+    SetGlobalThreads(0);
+    ASSERT_TRUE(status.ok());
+  }
+  EXPECT_GT(capped[0].stats.num_capped_solves, 0u);
+  EXPECT_LE(capped[0].stats.num_capped_solves,
+            capped[0].stats.num_svdd_trainings +
+                capped[0].stats.num_svdd_fallbacks);
+  EXPECT_EQ(capped[0].stats.num_capped_solves,
+            capped[1].stats.num_capped_solves);
+  EXPECT_EQ(capped[0].labels, capped[1].labels);
 }
 
 TEST(StatsConsistencyTest, NqDbscanCountsFullScansPerSeed) {

@@ -67,6 +67,15 @@ cmake --build "${repo}/build-ci-release" -j "${jobs}" --target bench_budget
 "${repo}/build-ci-release/bench/bench_budget" --smoke \
   --out="${repo}/build-ci-release/BENCH_budget_smoke.json"
 
+echo "=== bench_design_ablations smoke: the default target cap keeps recall ==="
+# A 10k walk and 10k noisy blobs, one fit per cell. The harness exits 1
+# when recall at the default max_svdd_target falls below the uncapped
+# recall on either workload, so the default cannot drift under what the
+# recall supports.
+cmake --build "${repo}/build-ci-release" -j "${jobs}" \
+  --target bench_design_ablations
+"${repo}/build-ci-release/bench/bench_design_ablations" --smoke
+
 echo "=== ThreadSanitizer build + full test suite ==="
 cmake -S "${repo}" -B "${repo}/build-ci-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -44,7 +44,7 @@ void PrintDegradedStats(const ClusteringStats& stats) {
 /// SMO aggregate line shared by the cluster and fit outputs. The max makes
 /// per-solve cost visible without a profiler: under --sv-budget it must
 /// stay bounded in B, not in the target size. The budget line appears only
-/// when the bounded-cost machinery actually fired.
+/// when the bounded-cost machinery or the target cap actually fired.
 void PrintSolverStats(const ClusteringStats& stats) {
   if (stats.num_svdd_trainings == 0) {
     return;
@@ -56,11 +56,13 @@ void PrintSolverStats(const ClusteringStats& stats) {
               static_cast<long long>(stats.max_smo_iterations),
               static_cast<unsigned long long>(stats.num_nonconverged_solves));
   if (stats.num_budget_merges > 0 || stats.num_budget_forgets > 0 ||
-      stats.num_sampled_solves > 0) {
-    std::printf("budget: merges=%llu forgets=%llu sampled_solves=%llu\n",
+      stats.num_sampled_solves > 0 || stats.num_capped_solves > 0) {
+    std::printf("budget: merges=%llu forgets=%llu sampled_solves=%llu "
+                "capped_solves=%llu\n",
                 static_cast<unsigned long long>(stats.num_budget_merges),
                 static_cast<unsigned long long>(stats.num_budget_forgets),
-                static_cast<unsigned long long>(stats.num_sampled_solves));
+                static_cast<unsigned long long>(stats.num_sampled_solves),
+                static_cast<unsigned long long>(stats.num_capped_solves));
   }
 }
 
