@@ -7,23 +7,28 @@
 //   2. SVDD target cap (max_svdd_target): the uniform subsample bounding
 //      every solve, swept over {256, 512, 1024, 2048, 4096, unlimited} on
 //      the 8-d walk and on noisy 2-d blobs. This table is the evidence for
-//      the library default; the run fails (exit 1) when recall at the
-//      default cap falls below the uncapped recall on either workload.
+//      the library default; the run fails (exit 1) when, on either
+//      workload, the default cap subsamples no target (the cell would
+//      just repeat the uncapped one) or its recall falls below the
+//      uncapped recall.
 //   3. Penalty-weight anchor count: the O(ñ·m) estimate of the kernel
 //      distance (Eq. 5) vs larger anchor sets.
 //   4. Learning threshold T: Sec. IV-B1 claims T in [2,4] balances time
 //      and accuracy; this sweep validates that claim empirically.
 //
-// Every cell runs `--repeats` identical fits and reports the median wall
-// time with its min–max spread (identical fits spread up to 2× on a shared
-// host); recall and the counters are deterministic and come from the first.
+// Every cell runs 5 identical fits (1 under --smoke) and reports the
+// median wall time with its min–max spread (identical fits spread up to 2×
+// on a shared host); recall and the counters are deterministic and come from the first.
 // Fits run on one thread, as perfbench's do: a pool adds spread and, on
 // these sizes, no speed.
 //
-// Flags: --n=50000 (walk) --repeats=5 --csv=<path>
-//        --smoke (10k walk, 10k blobs, 1 repeat; the CI leg)
+// Flags: --n=50000 (walk) --csv=<path>
+//        --smoke (20k walk, 10k blobs, 1 repeat; the CI leg. A 10k walk
+//        has no sub-cluster above the 1024 default cap, so it would not
+//        test the cap.)
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -104,17 +109,22 @@ bench::Table MakeTable() {
                        "range_queries"});
 }
 
-/// Runs `repeats` fits of one cell and adds its row; returns the recall
-/// (-1 when a fit failed).
-double AddRun(bench::Table* table, const Workload& w, const std::string& knob,
-              const DbsvecParams& params, int repeats) {
+struct CellResult {
+  double recall = -1.0;  // -1 when a fit failed
+  uint64_t capped_solves = 0;
+};
+
+/// Runs `repeats` fits of one cell and adds its row.
+CellResult AddRun(bench::Table* table, const Workload& w,
+                  const std::string& knob, const DbsvecParams& params,
+                  int repeats) {
   Clustering first;
   std::vector<double> seconds;
   for (int r = 0; r < repeats; ++r) {
     Clustering out;
     if (!RunDbsvec(w.data, params, &out).ok()) {
       table->AddRow({w.name, knob, "ERR", "-", "-", "-", "-", "-", "-"});
-      return -1.0;
+      return {};
     }
     seconds.push_back(out.stats.elapsed_seconds);
     if (r == 0) {
@@ -134,7 +144,7 @@ double AddRun(bench::Table* table, const Workload& w, const std::string& knob,
                  std::to_string(first.stats.num_capped_solves),
                  std::to_string(first.stats.num_svdd_trainings),
                  std::to_string(first.stats.num_range_queries)});
-  return recall;
+  return {recall, first.stats.num_capped_solves};
 }
 
 DbsvecParams ParamsFor(const Workload& w) {
@@ -148,10 +158,9 @@ int Main(int argc, char** argv) {
   const bench::Args args(argc, argv);
   const bool smoke = args.GetBool("smoke");
   const PointIndex n =
-      static_cast<PointIndex>(args.GetInt("n", smoke ? 10'000 : 50'000));
+      static_cast<PointIndex>(args.GetInt("n", smoke ? 20'000 : 50'000));
   const PointIndex blobs_n = smoke ? 10'000 : 100'000;
-  const int repeats =
-      std::max(1, static_cast<int>(args.GetInt("repeats", smoke ? 1 : 5)));
+  const int repeats = smoke ? 1 : 5;
   SetGlobalThreads(1);
 
   Workload shape = MakeShapeWorkload();
@@ -181,24 +190,32 @@ int Main(int argc, char** argv) {
   bench::Table cap_table = MakeTable();
   bool gate_ok = true;
   for (const Workload* w : {&walk, &blobs}) {
-    double default_recall = -1.0;
-    double uncapped_recall = -1.0;
+    CellResult at_default;
+    CellResult uncapped;
     for (const int cap : {256, 512, 1024, 2048, 4096, 0}) {
       DbsvecParams params = ParamsFor(*w);
       params.max_svdd_target = cap;
-      const double recall = AddRun(
+      const CellResult cell = AddRun(
           &cap_table, *w,
           cap == 0 ? "cap=unlimited" : "cap=" + std::to_string(cap), params,
           repeats);
-      if (cap == default_cap) default_recall = recall;
-      if (cap == 0) uncapped_recall = recall;
+      if (cap == default_cap) at_default = cell;
+      if (cap == 0) uncapped = cell;
     }
-    if (default_recall < 0.0 || default_recall < uncapped_recall) {
+    if (at_default.capped_solves == 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s: the default cap %d subsampled no SVDD target "
+                   "(or the cap is not in the sweep), so this workload does "
+                   "not test it\n",
+                   w->name.c_str(), default_cap);
+      gate_ok = false;
+    }
+    if (at_default.recall < 0.0 || at_default.recall < uncapped.recall) {
       std::fprintf(stderr,
                    "FAIL: %s recall at the default cap %d is %.4f, below "
-                   "the uncapped %.4f (or the cap is not in the sweep)\n",
-                   w->name.c_str(), default_cap, default_recall,
-                   uncapped_recall);
+                   "the uncapped %.4f\n",
+                   w->name.c_str(), default_cap, at_default.recall,
+                   uncapped.recall);
       gate_ok = false;
     }
   }

@@ -73,7 +73,8 @@ struct DbsvecParams {
   /// (Lemma 3) recover any boundary coverage the sample misses. Penalty
   /// weights cost anchor_count·ñ kernel evaluations and each SMO kernel
   /// row ñ, so the cap bounds both. At 1024 (formerly 4096) the Table III,
-  /// Fig. 1 and Fig. 9a recalls and the labels of the perfbench fits are
+  /// Fig. 1, Fig. 9a and Fig. 8 recalls, the Extensions benchmark's
+  /// clusters and noise count and the labels of the perfbench fits are
   /// unchanged; `bench_design_ablations` sweeps 256…4096 and unlimited on
   /// the walk-8d and noisy-blob generators, with recall equal to the
   /// uncapped run at every cap (EXPERIMENTS.md, design ablations).

@@ -68,10 +68,11 @@ cmake --build "${repo}/build-ci-release" -j "${jobs}" --target bench_budget
   --out="${repo}/build-ci-release/BENCH_budget_smoke.json"
 
 echo "=== bench_design_ablations smoke: the default target cap keeps recall ==="
-# A 10k walk and 10k noisy blobs, one fit per cell. The harness exits 1
-# when recall at the default max_svdd_target falls below the uncapped
-# recall on either workload, so the default cannot drift under what the
-# recall supports.
+# A 20k walk and 10k noisy blobs, one fit per cell. The harness exits 1
+# when, on either workload, the default max_svdd_target subsamples no
+# SVDD target (the leg would then test nothing) or its recall falls below
+# the uncapped recall, so the default cannot drift under what the recall
+# supports.
 cmake --build "${repo}/build-ci-release" -j "${jobs}" \
   --target bench_design_ablations
 "${repo}/build-ci-release/bench/bench_design_ablations" --smoke
